@@ -44,8 +44,8 @@ use prose_fortran::ast::Procedure;
 use prose_fortran::precision::PrecisionMap;
 use prose_fortran::sema::FpVarId;
 use prose_interp::{
-    run_ir_shadow, run_program, run_program_shadow, IrTemplate, OpCounts, RunConfig, RunError,
-    RunOutcome, ShadowReport, Timers,
+    compile, run_compiled, run_program, run_program_shadow, IrTemplate, OpCounts, RunConfig,
+    RunError, RunOutcome, ShadowReport, Timers,
 };
 use prose_search::{Config, Outcome, Status};
 use prose_trace::{Counters, Journal, ShadowTrial, StageClock, TrialRecord};
@@ -1399,8 +1399,9 @@ impl<'a> DynamicEvaluator<'a> {
     }
 
     /// The template fast path: replay the wrapper rewrite on the variant
-    /// template ("transform"), specialize the pre-lowered IR ("lower"), and
-    /// run it — no text round trip, no full re-lower.
+    /// template ("transform"), specialize the pre-lowered IR and compile it
+    /// ("lower"), and run the compiled code ("exec") — no text round trip,
+    /// no full re-lower.
     #[allow(clippy::too_many_arguments)]
     fn run_fast(
         &self,
@@ -1424,8 +1425,12 @@ impl<'a> DynamicEvaluator<'a> {
         } = plan;
         let pairs: Vec<(String, Procedure)> =
             planned.into_iter().map(|w| (w.callee, w.ast)).collect();
-        let ir = match clock.time("lower", || it.instantiate(map, &pairs, &decisions)) {
-            Ok(ir) => ir,
+        // "lower": specialize the IR and compile it to register code.
+        let compiled = match clock.time("lower", || {
+            it.instantiate(map, &pairs, &decisions)
+                .map(|ir| compile(&ir, &task.cost, task.shadow))
+        }) {
+            Ok(c) => c,
             Err(e) => {
                 return Err(Box::new(VariantRecord {
                     wrappers,
@@ -1448,7 +1453,7 @@ impl<'a> DynamicEvaluator<'a> {
             deadline: self.run_deadline(attempt),
         };
         let t_run = Instant::now();
-        let (res, report) = run_ir_shadow(&ir, &run_cfg);
+        let (res, report) = run_compiled(&compiled, &run_cfg);
         let run = match res {
             Ok(o) => o,
             Err(e) => {

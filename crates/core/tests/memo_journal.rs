@@ -2,7 +2,7 @@
 //! the PR's acceptance criterion is that re-running a tune against an
 //! existing journal performs **zero** duplicate interpreter evaluations.
 
-use prose_core::tuner::{tune, ModelSpec, PerfScope};
+use prose_core::tuner::{tune, ModelSpec, PerfScope, VariantPath};
 use prose_core::{metrics::CorrectnessMetric, DynamicEvaluator};
 use prose_trace::Journal;
 use std::path::PathBuf;
@@ -173,5 +173,41 @@ fn replayed_verdicts_follow_the_current_threshold() {
         "no journaled variant can pass a 1e-30 threshold"
     );
 
+    let _ = std::fs::remove_file(&path);
+}
+
+/// On the fast path the compile step is timed as `lower` and the compiled
+/// run as `exec`: both register time, and the journaled stages never add
+/// up to more than the trial's wall time.
+#[test]
+fn fast_path_trial_times_compile_as_lower_and_run_as_exec() {
+    let path = temp_journal("stages");
+    let _ = std::fs::remove_file(&path);
+
+    let model = spec().load().unwrap();
+    let mut task = model.task(PerfScope::Hotspot, 7).unwrap();
+    task.variant_path = VariantPath::Fast;
+    task.crosscheck = 0;
+    task.journal = Some(path.clone());
+    let eval = DynamicEvaluator::new(&task).unwrap();
+    let n = task.atoms.len();
+    eval.eval_one(&vec![true; n]);
+    eval.eval_one(&(0..n).map(|i| i % 2 == 0).collect::<Vec<_>>());
+    drop(eval);
+
+    let records = Journal::load(&path).unwrap();
+    let uncached: Vec<_> = records.iter().filter(|r| !r.cached).collect();
+    assert_eq!(uncached.len(), 2);
+    for r in uncached {
+        let stage = |k: &str| r.stages.get(k).copied().unwrap_or(0);
+        assert!(stage("lower") > 0, "lower stage: {:?}", r.stages);
+        assert!(stage("exec") > 0, "exec stage: {:?}", r.stages);
+        let sum_ms = r.stages.values().sum::<u64>() as f64 / 1e6;
+        assert!(
+            sum_ms <= r.wall_ms,
+            "stages {sum_ms} ms exceed wall {} ms",
+            r.wall_ms
+        );
+    }
     let _ = std::fs::remove_file(&path);
 }

@@ -214,6 +214,24 @@ fn shadow_differential(src: &str, bits: &[bool]) -> Result<(), TestCaseError> {
             )))
         }
     }
+
+    // The compiled executor against the reference walker, shadow on: the
+    // same primary outputs and the same shadow report.
+    let (walked, walked_report) = prose_interp::oracle::run_ir_shadow(&ir, &cfg_on);
+    match (&on, &walked) {
+        (Ok(g), Ok(w)) => assert_outcomes_identical(g, w, "compiled vs walker")?,
+        (Err(eg), Err(ew)) => prop_assert_eq!(eg, ew, "compiled vs walker: run errors diverge"),
+        _ => {
+            return Err(TestCaseError::fail(format!(
+                "compiled vs walker: verdicts differ: {on:?} vs {walked:?}"
+            )))
+        }
+    }
+    prop_assert_eq!(
+        format!("{report:?}"),
+        format!("{walked_report:?}"),
+        "compiled vs walker: shadow reports diverge"
+    );
     Ok(())
 }
 

@@ -4,7 +4,8 @@
 //! **bit-identical** to the faithful pipeline (`make_variant` →
 //! unparse → reparse → reanalyze → `run_program`): same wrapper set, same
 //! recorded outputs, same simulated cycles, same op counts, same
-//! per-procedure timers.
+//! per-procedure timers. The fast path's compiled run is also checked
+//! against the reference tree walker ([`prose_interp::oracle`]).
 
 use proptest::prelude::*;
 use prose_fortran::ast::FpPrecision;
@@ -146,6 +147,48 @@ fn differential(src: &str, bits: &[bool]) -> Result<(), TestCaseError> {
         .instantiate(&map, &pairs, &decisions)
         .expect("template instantiates");
     let fast = run_ir(&ir, &cfg);
+
+    // The compiled executor against the reference walker on the same IR.
+    let walked = prose_interp::oracle::run_ir_shadow(&ir, &cfg).0;
+    match (&fast, &walked) {
+        (Ok(g), Ok(w)) => {
+            prop_assert_eq!(
+                &g.records,
+                &w.records,
+                "compiled vs walker: records diverge"
+            );
+            prop_assert_eq!(
+                g.total_cycles.to_bits(),
+                w.total_cycles.to_bits(),
+                "compiled vs walker: simulated cycles diverge"
+            );
+            prop_assert_eq!(g.ops, w.ops, "compiled vs walker: op counts diverge");
+            prop_assert_eq!(
+                g.events,
+                w.events,
+                "compiled vs walker: event counts diverge"
+            );
+            prop_assert_eq!(
+                g.timers.len(),
+                w.timers.len(),
+                "compiled vs walker: timers diverge"
+            );
+            for (proc, t) in w.timers.iter() {
+                prop_assert_eq!(
+                    g.timers.get(proc),
+                    Some(t),
+                    "compiled vs walker: `{}`",
+                    proc
+                );
+            }
+        }
+        (Err(eg), Err(ew)) => prop_assert_eq!(eg, ew, "compiled vs walker: run errors diverge"),
+        (g, w) => {
+            return Err(TestCaseError::fail(format!(
+                "compiled vs walker: verdicts differ: {g:?} vs {w:?}"
+            )))
+        }
+    }
 
     match (faithful, fast) {
         (Ok(f), Ok(g)) => {

@@ -1,7 +1,11 @@
 //! # prose-interp
 //!
-//! Dynamic evaluation substrate: a mixed-precision-aware interpreter for the
-//! `prose-fortran` AST plus an analytical performance model.
+//! Dynamic evaluation substrate: mixed-precision execution of the
+//! `prose-fortran` AST plus an analytical performance model. The AST is
+//! lowered to IR ([`lower`]); each variant's IR is compiled once to flat,
+//! statically typed register code ([`compile`]) and run by a register
+//! executor. The tree walker the executor replaced is kept as the
+//! differential-test oracle ([`oracle`]).
 //!
 //! The paper compiled each variant with ifort and ran it on Derecho under
 //! MPI, measuring hotspot CPU time with GPTL. This crate substitutes both
@@ -34,10 +38,14 @@
 //!   paper.
 
 pub mod absint;
+mod arith;
+pub mod compile;
 pub mod cost;
+mod exec;
 pub mod ir;
 pub mod lower;
-pub mod machine;
+#[doc(hidden)]
+pub mod oracle;
 pub mod run;
 pub mod shadow;
 pub mod template;
@@ -45,11 +53,11 @@ pub mod timers;
 pub mod value;
 
 pub use absint::{analyze_ir, analyze_variant, DEFAULT_MAX_STEPS};
+pub use compile::{compile, Compiled};
 pub use cost::CostParams;
-pub use machine::DEADLINE_CHECK_INTERVAL;
 pub use run::{
-    run_ir, run_ir_shadow, run_program, run_program_shadow, OpCounts, RunConfig, RunError,
-    RunOutcome, RunRecords,
+    run_compiled, run_ir, run_ir_shadow, run_program, run_program_shadow, OpCounts, RunConfig,
+    RunError, RunOutcome, RunRecords, ShadowRun, DEADLINE_CHECK_INTERVAL,
 };
 pub use shadow::{CancellationEvent, NonFiniteOrigin, ShadowReport, VarShadow};
 pub use template::IrTemplate;

@@ -1,16 +1,17 @@
-//! Top-level entry: lower, execute, and package results.
+//! Top-level entry: lower, compile, execute, and package results.
 
+use crate::compile::{compile, Compiled};
 use crate::cost::CostParams;
+use crate::exec::execute;
 use crate::ir::ProgramIR;
 use crate::lower::lower_program;
-use crate::machine::Machine;
 use crate::shadow::ShadowReport;
 use crate::timers::Timers;
 use prose_fortran::sema::ProgramIndex;
 use prose_fortran::Program;
-use std::collections::HashSet;
-
-pub use crate::machine::{OpCounts, RunError, RunRecords};
+use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Configuration for one dynamic evaluation.
 #[derive(Debug, Clone)]
@@ -22,7 +23,7 @@ pub struct RunConfig {
     /// Hard event-count safety valve.
     pub max_events: u64,
     /// Wall-clock deadline for the execution phase. Checked cooperatively
-    /// every [`crate::machine::DEADLINE_CHECK_INTERVAL`] events; exceeding
+    /// every [`DEADLINE_CHECK_INTERVAL`] events; exceeding
     /// it aborts with [`RunError::Deadline`]. Unlike `budget` (modeled
     /// cycles) this is real elapsed time — the only mechanism that can kill
     /// a stalled event loop (e.g. an injected `hang` fault). `None`
@@ -70,14 +71,137 @@ pub struct RunOutcome {
     pub events: u64,
     /// Operation counters (observability; not part of the cost model).
     pub ops: OpCounts,
-    /// Wall-clock nanoseconds spent lowering AST → IR.
+    /// Wall-clock nanoseconds spent lowering AST → IR and compiling it.
     pub lower_ns: u64,
-    /// Wall-clock nanoseconds spent interpreting.
+    /// Wall-clock nanoseconds spent executing the compiled code.
     pub exec_ns: u64,
 }
 
-/// Lower and execute `program`, returning timing + records, or the runtime
-/// error that aborted it.
+/// Aggregate operation counters for one run. Pure observability: the
+/// counters never feed back into the cost model, they exist so the trial
+/// journal can explain *where* a variant's simulated cycles came from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OpCounts {
+    /// FP arithmetic charged at single precision.
+    pub fp32_ops: u64,
+    /// FP arithmetic charged at double precision.
+    pub fp64_ops: u64,
+    /// Array/memory traffic charges.
+    pub mem_ops: u64,
+    /// Scalar precision conversions (vectorizable `vcvt` kind).
+    pub casts: u64,
+    /// Converting stores — the kind that demotes a loop to scalar cost.
+    pub cast_stores: u64,
+    /// Non-inlined procedure calls that paid call + timer overhead.
+    pub timed_calls: u64,
+    /// Loop-control charges (`do` / `do while` iterations).
+    pub loop_iters: u64,
+    /// `MPI_ALLREDUCE` collectives.
+    pub allreduces: u64,
+}
+
+impl OpCounts {
+    /// Total counted events (not cycles — see [`crate::cost`] for those).
+    pub fn total(&self) -> u64 {
+        self.fp32_ops
+            + self.fp64_ops
+            + self.mem_ops
+            + self.casts
+            + self.cast_stores
+            + self.timed_calls
+            + self.loop_iters
+            + self.allreduces
+    }
+}
+
+/// Why a run aborted.
+///
+/// `proc` fields are interned: they share the lowered IR's procedure-name
+/// `Arc<str>`s instead of allocating a fresh `String` per error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// A floating-point operation produced NaN/Inf.
+    NonFinite { proc: Arc<str>, line: u32 },
+    /// `stop <code>` with a non-zero code (model guard tripped).
+    Stop { code: i64 },
+    /// Simulated time exceeded the budget (3× baseline in searches).
+    Timeout { budget: f64 },
+    /// Wall-clock deadline exceeded ([`crate::run::RunConfig::deadline`]).
+    /// Unlike [`RunError::Timeout`] this is real elapsed time, not modeled
+    /// cycles: it is the only thing that can kill a stalled event loop.
+    Deadline { ms: u64 },
+    /// Event-count safety valve tripped (runaway loop).
+    EventLimit,
+    /// Array subscript out of bounds.
+    OutOfBounds { proc: Arc<str>, line: u32 },
+    /// Use of an unallocated allocatable.
+    Unallocated { proc: Arc<str>, line: u32 },
+    /// Type/kind/shape violation (e.g. mismatched argument association).
+    Invalid {
+        proc: Arc<str>,
+        line: u32,
+        msg: String,
+    },
+    /// Integer division by zero.
+    DivByZero { proc: Arc<str>, line: u32 },
+    /// Lowering failed (malformed program).
+    Lower(String),
+    /// Call stack exceeded the recursion guard.
+    StackOverflow,
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::NonFinite { proc, line } => {
+                write!(f, "non-finite FP result in `{proc}` at line {line}")
+            }
+            RunError::Stop { code } => write!(f, "stop {code}"),
+            RunError::Timeout { budget } => write!(f, "timeout (budget {budget} cycles)"),
+            RunError::Deadline { ms } => write!(f, "wall-clock deadline exceeded ({ms} ms)"),
+            RunError::EventLimit => write!(f, "event limit exceeded"),
+            RunError::OutOfBounds { proc, line } => {
+                write!(f, "subscript out of bounds in `{proc}` at line {line}")
+            }
+            RunError::Unallocated { proc, line } => {
+                write!(f, "unallocated array used in `{proc}` at line {line}")
+            }
+            RunError::Invalid { proc, line, msg } => {
+                write!(f, "invalid operation in `{proc}` at line {line}: {msg}")
+            }
+            RunError::DivByZero { proc, line } => {
+                write!(f, "integer division by zero in `{proc}` at line {line}")
+            }
+            RunError::Lower(msg) => write!(f, "lowering failed: {msg}"),
+            RunError::StackOverflow => write!(f, "call stack exceeded recursion guard"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Output recorded by `prose_record*` plus captured `print` lines.
+///
+/// `PartialEq` is bitwise on the recorded floats — the comparison the
+/// fast-path cross-check uses to assert the two variant paths agree.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunRecords {
+    pub scalars: BTreeMap<String, Vec<f64>>,
+    pub arrays: BTreeMap<String, Vec<Vec<f64>>>,
+    pub stdout: Vec<String>,
+}
+
+/// Events between cooperative wall-clock deadline checks (power of two:
+/// the check divides into `bump_event` with a mask). Coarse enough that
+/// an un-armed run never pays a clock read per event; fine enough that a
+/// deadline is noticed within microseconds of real work.
+pub const DEADLINE_CHECK_INTERVAL: u64 = 1024;
+
+/// A run's result plus, when shadow execution was on, its shadow report.
+pub type ShadowRun = (Result<RunOutcome, RunError>, Option<ShadowReport>);
+
+/// Lower, compile and execute `program`, returning timing + records, or
+/// the runtime error that aborted it.
 pub fn run_program(
     program: &Program,
     index: &ProgramIndex,
@@ -89,11 +213,7 @@ pub fn run_program(
 /// [`run_program`], also returning the shadow report when
 /// [`RunConfig::shadow`] is set. The report is produced even when the run
 /// aborts with an error — that is where NaN/Inf provenance lives.
-pub fn run_program_shadow(
-    program: &Program,
-    index: &ProgramIndex,
-    cfg: &RunConfig,
-) -> (Result<RunOutcome, RunError>, Option<ShadowReport>) {
+pub fn run_program_shadow(program: &Program, index: &ProgramIndex, cfg: &RunConfig) -> ShadowRun {
     let t0 = std::time::Instant::now();
     let ir = match lower_program(
         program,
@@ -104,22 +224,15 @@ pub fn run_program_shadow(
         Ok(ir) => ir,
         Err(e) => return (Err(RunError::Lower(e.to_string())), None),
     };
-    let lower_ns = t0.elapsed().as_nanos() as u64;
-    let (res, report) = run_ir_shadow(&ir, cfg);
-    (
-        res.map(|mut outcome| {
-            outcome.lower_ns = lower_ns;
-            outcome
-        }),
-        report,
-    )
+    let compiled = compile(&ir, &cfg.cost, cfg.shadow);
+    with_lower_ns(run_compiled(&compiled, cfg), t0)
 }
 
 /// Execute pre-lowered IR — the variant fast path ([`crate::template`]).
 ///
 /// `wrapper_names` in `cfg` is ignored: wrapper status is already baked
-/// into the IR. `lower_ns` in the outcome is zero; template instantiation
-/// time is accounted by the caller's stage clock.
+/// into the IR. `lower_ns` in the outcome is the compile time; template
+/// instantiation time is accounted by the caller's stage clock.
 pub fn run_ir(ir: &ProgramIR, cfg: &RunConfig) -> Result<RunOutcome, RunError> {
     run_ir_shadow(ir, cfg).0
 }
@@ -127,37 +240,35 @@ pub fn run_ir(ir: &ProgramIR, cfg: &RunConfig) -> Result<RunOutcome, RunError> {
 /// [`run_ir`], also returning the shadow report when [`RunConfig::shadow`]
 /// is set. The report survives aborted runs so NaN/Inf provenance is
 /// available for failure classification.
-pub fn run_ir_shadow(
-    ir: &ProgramIR,
-    cfg: &RunConfig,
-) -> (Result<RunOutcome, RunError>, Option<ShadowReport>) {
-    let budget = cfg.budget.unwrap_or(f64::INFINITY);
-    let t1 = std::time::Instant::now();
-    let mut m = Machine::new(ir, cfg.cost.clone(), budget, cfg.max_events);
-    m.fault = cfg.fault.clone();
-    if let Some(d) = cfg.deadline {
-        m.deadline_at = Some(t1 + d);
-        m.deadline_ms = d.as_millis() as u64;
-    }
-    if cfg.shadow {
-        m.enable_shadow();
-    }
-    if let Err(e) = m.run() {
-        let report = m.shadow_report();
-        return (Err(e), report);
-    }
-    let report = m.shadow_report();
-    let (timers, records, total_cycles, events, ops) = m.finish();
-    let exec_ns = t1.elapsed().as_nanos() as u64;
+pub fn run_ir_shadow(ir: &ProgramIR, cfg: &RunConfig) -> ShadowRun {
+    let t0 = std::time::Instant::now();
+    let compiled = compile(ir, &cfg.cost, cfg.shadow);
+    with_lower_ns(run_compiled(&compiled, cfg), t0)
+}
+
+/// Execute an already [compiled](crate::compile) program. The cost
+/// parameters and the shadow mode are the ones it was compiled with; `cfg`
+/// supplies the budget, the event limit, the deadline and the injected
+/// fault. `lower_ns` in the outcome is zero.
+pub fn run_compiled(compiled: &Compiled, cfg: &RunConfig) -> ShadowRun {
+    let t0 = std::time::Instant::now();
+    let (res, report) = execute(compiled, cfg);
     (
-        Ok(RunOutcome {
-            timers,
-            records,
-            total_cycles,
-            events,
-            ops,
-            lower_ns: 0,
-            exec_ns,
+        res.map(|mut outcome| {
+            outcome.exec_ns = t0.elapsed().as_nanos() as u64;
+            outcome
+        }),
+        report,
+    )
+}
+
+/// Charge the time from `t0` to the start of execution as `lower_ns`.
+fn with_lower_ns((res, report): ShadowRun, t0: std::time::Instant) -> ShadowRun {
+    (
+        res.map(|mut outcome| {
+            let total = t0.elapsed().as_nanos() as u64;
+            outcome.lower_ns = total.saturating_sub(outcome.exec_ns);
+            outcome
         }),
         report,
     )

@@ -101,6 +101,118 @@ pub(crate) struct ShadowState {
     pub nonfinite: Option<NonFiniteOrigin>,
 }
 
+impl ShadowState {
+    /// Fold one store's divergence into the `(scope, slot)` stats.
+    pub fn note_var(&mut self, key: (usize, usize), primary: f64, shadow: f64) {
+        self.vars.entry(key).or_default().update(primary, shadow);
+    }
+
+    /// Fold one `prose_record*` sample into the per-key stats.
+    pub fn note_record(&mut self, key: &str, primary: f64, shadow: f64) {
+        match self.records.get_mut(key) {
+            Some(e) => e.update(primary, shadow),
+            None => {
+                let mut e = VarErr::default();
+                e.update(primary, shadow);
+                self.records.insert(key.to_string(), e);
+            }
+        }
+    }
+
+    /// The cancellation detector for a runtime FP add/sub with primary
+    /// operands `x`, `y`, primary result `prim` and shadow result `sh`.
+    pub fn note_cancellation(
+        &mut self,
+        x: f64,
+        y: f64,
+        prim: f64,
+        sh: f64,
+        proc: impl FnOnce() -> String,
+        line: u32,
+    ) {
+        let m = x.abs().max(y.abs());
+        if m <= 0.0 || !prim.is_finite() {
+            return;
+        }
+        // Exponent drop: result at least CANCEL_LOST_BITS bits below the
+        // larger operand.
+        if prim.abs() >= m * CANCEL_LOST_BITS.exp2().recip() {
+            return;
+        }
+        let rel = shadow_rel(prim, sh);
+        if rel < CANCEL_DIVERGENCE {
+            // Benign cancellation: the shadow cancelled the same way.
+            return;
+        }
+        let lost_bits = if prim == 0.0 {
+            f64::from(f64::MANTISSA_DIGITS)
+        } else {
+            (m / prim.abs()).log2()
+        };
+        self.cancellations += 1;
+        let worse = self
+            .worst_cancellation
+            .as_ref()
+            .is_none_or(|w| rel > w.rel_err);
+        if worse {
+            self.worst_cancellation = Some(CancellationEvent {
+                proc: proc(),
+                line,
+                lost_bits,
+                rel_err: rel,
+            });
+        }
+    }
+
+    /// Record provenance for the first non-finite value.
+    pub fn note_nonfinite(&mut self, op: &str, proc: &str, line: u32, injected: bool) {
+        if self.nonfinite.is_none() {
+            self.nonfinite = Some(NonFiniteOrigin {
+                op: op.to_string(),
+                proc: proc.to_string(),
+                line,
+                injected,
+            });
+        }
+    }
+
+    /// Build the report, resolving `(scope, slot)` keys to display names.
+    pub fn report(&self, name_of: impl Fn(usize, usize) -> String) -> ShadowReport {
+        let shadow_of = |name: String, e: &VarErr| VarShadow {
+            name,
+            max_rel: e.max_rel,
+            final_rel: e.final_rel,
+            stores: e.stores,
+            min_primary: Some(e.min_primary),
+            max_primary: Some(e.max_primary),
+        };
+        let by_worst = |a: &VarShadow, b: &VarShadow| {
+            b.max_rel.total_cmp(&a.max_rel).then(a.name.cmp(&b.name))
+        };
+        let mut vars: Vec<VarShadow> = self
+            .vars
+            .iter()
+            .map(|(&(scope, slot), e)| shadow_of(name_of(scope, slot), e))
+            .collect();
+        vars.sort_by(by_worst);
+        let mut records: Vec<VarShadow> = self
+            .records
+            .iter()
+            .map(|(k, e)| shadow_of(k.clone(), e))
+            .collect();
+        records.sort_by(by_worst);
+        let worst_rel = vars.first().map(|v| v.max_rel).unwrap_or(0.0);
+        ShadowReport {
+            vars,
+            records,
+            worst_rel,
+            cancellations: self.cancellations,
+            worst_cancellation: self.worst_cancellation.clone(),
+            nonfinite: self.nonfinite.clone(),
+        }
+    }
+}
+
 /// One flagged catastrophic-cancellation site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CancellationEvent {

@@ -6,6 +6,7 @@
 //! (`1.0_wp`, `-fdefault-real-8` promotion) real model builds use — a
 //! literal never forces a conversion.
 
+use crate::ir::STy;
 use prose_fortran::ast::FpPrecision;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -151,6 +152,16 @@ impl ArrayData {
             _ => None,
         }
     }
+
+    /// The declared element type this storage holds.
+    pub fn sty(&self) -> STy {
+        match self {
+            ArrayData::F32(_) => STy::Fp(FpPrecision::Single),
+            ArrayData::F64(_) => STy::Fp(FpPrecision::Double),
+            ArrayData::Int(_) => STy::Int,
+            ArrayData::Bool(_) => STy::Bool,
+        }
+    }
 }
 
 /// A Fortran array: column-major storage with per-dimension bounds.
@@ -162,6 +173,8 @@ pub struct ArrayVal {
     /// fp64 shadow values, allocated only for FP arrays under shadow
     /// execution ([`crate::shadow`]); `None` in normal operation.
     pub shadow: Option<Vec<f64>>,
+    /// Column-major stride of each dimension, cached at allocation.
+    pub strides: Vec<usize>,
 }
 
 impl ArrayVal {
@@ -171,28 +184,31 @@ impl ArrayVal {
             FpPrecision::Single => ArrayData::F32(vec![0.0; n]),
             FpPrecision::Double => ArrayData::F64(vec![0.0; n]),
         };
-        ArrayVal {
-            data,
-            bounds,
-            shadow: None,
-        }
+        ArrayVal::with_data(data, bounds)
     }
 
     pub fn new_int(bounds: Vec<(i64, i64)>) -> ArrayVal {
         let n = total_len(&bounds);
-        ArrayVal {
-            data: ArrayData::Int(vec![0; n]),
-            bounds,
-            shadow: None,
-        }
+        ArrayVal::with_data(ArrayData::Int(vec![0; n]), bounds)
     }
 
     pub fn new_bool(bounds: Vec<(i64, i64)>) -> ArrayVal {
         let n = total_len(&bounds);
+        ArrayVal::with_data(ArrayData::Bool(vec![false; n]), bounds)
+    }
+
+    fn with_data(data: ArrayData, bounds: Vec<(i64, i64)>) -> ArrayVal {
+        let mut strides = Vec::with_capacity(bounds.len());
+        let mut stride: usize = 1;
+        for (lo, hi) in &bounds {
+            strides.push(stride);
+            stride = stride.wrapping_mul((hi - lo + 1) as usize);
+        }
         ArrayVal {
-            data: ArrayData::Bool(vec![false; n]),
+            data,
             bounds,
             shadow: None,
+            strides,
         }
     }
 
