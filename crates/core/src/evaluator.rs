@@ -53,7 +53,7 @@ use prose_transform::{make_variant, VariantPlan, VariantTemplate};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -877,53 +877,24 @@ impl<'a> DynamicEvaluator<'a> {
         }
     }
 
-    /// Evaluate a batch on the worker pool and return the records in batch
-    /// index order, with journal appends performed afterwards — also in
-    /// batch index order — on the calling thread. This is what makes the
-    /// journal byte-stable across worker counts. A panic escaping any
-    /// trial (only [`StrictDesync`] and [`prose_faults::InjectedKill`]
-    /// escape containment) is re-raised here in batch index order with its
-    /// payload intact.
+    /// Evaluate a batch on the worker pool ([`crate::pool::map_ordered`])
+    /// and return the records in batch index order, with journal appends
+    /// performed afterwards — also in batch index order — on the calling
+    /// thread. This is what makes the journal byte-stable across worker
+    /// counts. A panic escaping any trial (only [`StrictDesync`] and
+    /// [`prose_faults::InjectedKill`] escape containment) is re-raised here
+    /// in batch index order with its payload intact, after the journal
+    /// appends of every earlier trial.
     pub fn eval_batch_records(&self, batch: &[Config]) -> Vec<VariantRecord> {
         self.check_cancelled();
-        type Slot = Option<std::thread::Result<(VariantRecord, TrialMeta)>>;
         let batch_id = self.batch_seq.fetch_add(1, Ordering::Relaxed);
-        let workers = self.workers().min(batch.len()).max(1);
-        let mut slots: Vec<std::thread::Result<(VariantRecord, TrialMeta)>> = if workers <= 1 {
-            batch
-                .iter()
-                .map(|cfg| catch_unwind(AssertUnwindSafe(|| self.eval_record(cfg, None))))
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let cells: Vec<Mutex<Slot>> = batch.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let next = &next;
-                    let cells = &cells;
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cfg) = batch.get(i) else { break };
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            self.eval_record(cfg, Some(w as u32))
-                        }));
-                        *lock(&cells[i]) = Some(out);
-                    });
-                }
-            });
-            cells
-                .into_iter()
-                .map(|c| {
-                    c.into_inner()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .expect("worker filled every claimed slot")
-                })
-                .collect()
-        };
+        let slots = crate::pool::map_ordered(batch, self.workers(), |cfg, worker| {
+            catch_unwind(AssertUnwindSafe(|| self.eval_record(cfg, worker)))
+        });
         // Reduce in submission order: journal appends (and any re-raised
         // panic) happen exactly where a serial run would place them.
         let mut recs = Vec::with_capacity(slots.len());
-        for slot in slots.drain(..) {
+        for slot in slots {
             match slot {
                 Ok((rec, meta)) => {
                     self.journal_append(&rec, &meta, batch_id);

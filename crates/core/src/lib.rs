@@ -82,6 +82,7 @@ pub mod ensemble;
 pub mod evaluator;
 pub mod job;
 pub mod metrics;
+pub mod pool;
 pub mod prepass;
 pub mod profile;
 pub mod speedup;

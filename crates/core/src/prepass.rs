@@ -1,8 +1,8 @@
 //! The absint search pre-pass: static range & round-off verdicts per atom.
 //!
 //! Before the dynamic search runs a single trial, each atom is analyzed in
-//! isolation with `prose_interp::analyze_variant` (the abstract interpreter
-//! over the task's IR):
+//! isolation with `prose_interp::analyze_ir` (the abstract interpreter over
+//! the task's IR, lowered once per pass and patched per precision map):
 //!
 //! * **pre-demote** — lowering the atom alone keeps every variable's
 //!   static error bound within the budget (the tighter of the correctness
@@ -26,13 +26,15 @@
 //! trusting it ([`crate::tuner::tune`]), so even an unsound static bound
 //! can only cost trials, never correctness.
 
+use crate::pool::map_ordered;
 use crate::tuner::TuningTask;
 use prose_analysis::BoundReport;
 use prose_fortran::ast::FpPrecision;
 use prose_fortran::sema::{FpVarId, ProgramIndex, ScopeKind};
 use prose_fortran::PrecisionMap;
-use prose_interp::{analyze_variant, DEFAULT_MAX_STEPS};
+use prose_interp::{analyze_ir, IrTemplate, DEFAULT_MAX_STEPS};
 use prose_search::{Config, Evaluator, Outcome};
+use std::collections::HashMap;
 
 /// Static verdict for one search atom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +59,7 @@ impl StaticVerdict {
 }
 
 /// The pre-pass result: one verdict per atom, in atom order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrepassReport {
     /// Per-atom verdicts, aligned with `TuningTask::atoms`.
     pub verdicts: Vec<StaticVerdict>,
@@ -69,6 +71,11 @@ pub struct PrepassReport {
     pub joint_fallback: bool,
     /// Compact journal stamp: `demote=a,b|pin=c|undecided=3`.
     pub stamp: String,
+    /// Whole-program abstract analyses the pass ran.
+    pub analyses: u64,
+    /// Abstract steps summed over those analyses
+    /// ([`BoundReport::steps`]): a deterministic measure of the pass's work.
+    pub steps: u64,
 }
 
 impl PrepassReport {
@@ -223,27 +230,54 @@ fn certified_bound(rep: &BoundReport, base: Option<&BoundReport>, key: &str) -> 
 /// Run the static pre-pass over every atom. Never fails: any analysis
 /// error or exhausted abstract budget degrades the affected verdicts to
 /// undecided, which only means the dynamic search keeps those atoms.
+///
+/// The declared-map analysis and the per-atom analyses are independent, so
+/// they fan out on the task's worker pool ([`crate::pool::map_ordered`]);
+/// the verdict logic then runs over their reports in atom order, and the
+/// joint re-check stays serial. The report is identical at every width.
 pub fn run_prepass(task: &TuningTask) -> PrepassReport {
     let budget = prepass_budget(task);
     let n = task.atoms.len();
     let mut verdicts = vec![StaticVerdict::Undecided; n];
-    let inline = task.cost.inline_max_stmts;
+    let mut analyses = 0u64;
+    let mut steps = 0u64;
+    let mut tally = |rep: &Option<BoundReport>| {
+        if let Some(rep) = rep {
+            analyses += 1;
+            steps += rep.steps;
+        }
+    };
+
+    // Every analysis of the pass patches one lowered template; a program
+    // that fails to lower leaves every atom undecided.
+    let template = IrTemplate::new(&task.program, &task.index, task.cost.inline_max_stmts).ok();
+    let analyze = |map: &PrecisionMap| -> Option<BoundReport> {
+        let ir = template
+            .as_ref()?
+            .instantiate(map, &[], &HashMap::new())
+            .ok()?;
+        Some(analyze_ir(&ir, DEFAULT_MAX_STEPS))
+    };
+
+    // The declared map first, then each atom lowered alone.
+    let declared = PrecisionMap::declared(&task.index);
+    let maps: Vec<PrecisionMap> = std::iter::once(declared.clone())
+        .chain(task.atoms.iter().map(|&atom| {
+            let mut map = declared.clone();
+            map.set(atom, FpPrecision::Single);
+            map
+        }))
+        .collect();
+    let reports = map_ordered(&maps, task.workers, |map, _| analyze(map));
+    reports.iter().for_each(&mut tally);
+    let mut reports = reports.into_iter();
 
     // Declared-precision analysis: value ranges are precision-independent
     // up to rounding, so a *finite* hull beyond f32::MAX under the
     // declared map is proof that lowering the variable overflows. The
     // same report is the baseline the demotion criterion measures excess
     // damage against.
-    let declared = PrecisionMap::declared(&task.index);
-    let base = analyze_variant(
-        &task.program,
-        &task.index,
-        &declared,
-        inline,
-        DEFAULT_MAX_STEPS,
-    )
-    .ok()
-    .filter(|b| !b.incomplete);
+    let base = reports.next().flatten().filter(|b| !b.incomplete);
     if let Some(base) = &base {
         for (i, &atom) in task.atoms.iter().enumerate() {
             let key = atom_bound_key(&task.index, atom);
@@ -261,16 +295,12 @@ pub fn run_prepass(task: &TuningTask) -> PrepassReport {
     // candidate's individual bound — it orders the joint-refinement drops
     // below.
     let mut candidates: Vec<(usize, f64)> = Vec::new();
-    for (i, &atom) in task.atoms.iter().enumerate() {
+    for (i, rep) in reports.enumerate() {
         if verdicts[i] != StaticVerdict::Undecided {
             continue;
         }
-        let mut map = PrecisionMap::declared(&task.index);
-        map.set(atom, FpPrecision::Single);
-        if let Ok(rep) =
-            analyze_variant(&task.program, &task.index, &map, inline, DEFAULT_MAX_STEPS)
-        {
-            let key = atom_bound_key(&task.index, atom);
+        if let Some(rep) = rep {
+            let key = atom_bound_key(&task.index, task.atoms[i]);
             if let Some(bound) = certified_bound(&rep, base.as_ref(), &key) {
                 if bound <= budget {
                     candidates.push((i, bound));
@@ -286,21 +316,21 @@ pub fn run_prepass(task: &TuningTask) -> PrepassReport {
     // re-check — down to the empty set if need be.
     let mut joint_fallback = false;
     while !candidates.is_empty() {
-        let mut map = PrecisionMap::declared(&task.index);
+        let mut map = declared.clone();
         for &(i, _) in &candidates {
             map.set(task.atoms[i], FpPrecision::Single);
         }
-        let joint = analyze_variant(&task.program, &task.index, &map, inline, DEFAULT_MAX_STEPS)
-            .ok()
-            .and_then(|rep| {
-                candidates
-                    .iter()
-                    .map(|&(i, _)| {
-                        let key = atom_bound_key(&task.index, task.atoms[i]);
-                        certified_bound(&rep, base.as_ref(), &key)
-                    })
-                    .try_fold(0.0f64, |acc, b| b.map(|b| acc.max(b)))
-            });
+        let rep = analyze(&map);
+        tally(&rep);
+        let joint = rep.and_then(|rep| {
+            candidates
+                .iter()
+                .map(|&(i, _)| {
+                    let key = atom_bound_key(&task.index, task.atoms[i]);
+                    certified_bound(&rep, base.as_ref(), &key)
+                })
+                .try_fold(0.0f64, |acc, b| b.map(|b| acc.max(b)))
+        });
         match joint {
             Some(bound) if bound <= budget => {
                 for &(i, _) in &candidates {
@@ -336,6 +366,8 @@ pub fn run_prepass(task: &TuningTask) -> PrepassReport {
         budget,
         joint_fallback,
         stamp,
+        analyses,
+        steps,
     }
 }
 
@@ -465,6 +497,8 @@ mod tests {
             budget: 1e-3,
             joint_fallback: false,
             stamp: String::new(),
+            analyses: 0,
+            steps: 0,
         };
         assert_eq!(pre.residue(), vec![1, 3]);
         assert_eq!(pre.forced(), vec![true, false, false, false]);

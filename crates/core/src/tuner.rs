@@ -172,10 +172,12 @@ pub struct TuningTask {
     /// releases); every trial is then stamped with the verdict summary
     /// ([`prose_trace::TrialRecord::static_verdict`]).
     pub absint: bool,
-    /// Worker-pool width for batch evaluation (the paper's
-    /// one-PBS-node-per-variant fan-out). `1` (the default) evaluates
-    /// serially on the submitting thread; results, journals, and the
-    /// final configuration are identical at any width.
+    /// Worker-pool width ([`crate::pool::map_ordered`]) for batch
+    /// evaluation (the paper's one-PBS-node-per-variant fan-out) and for
+    /// the independent analyses of the absint pre-pass. `1` (the default)
+    /// runs both serially on the submitting thread; results, journals, the
+    /// pre-pass report and the final configuration are identical at any
+    /// width.
     pub workers: usize,
     /// Per-variant wall-clock deadline in milliseconds (`None` disables).
     /// Unlike `timeout_factor` — a budget on *modeled* cycles — this is
@@ -332,6 +334,8 @@ pub fn tune(task: &TuningTask) -> Result<TuningOutcome, RunError> {
         );
         metrics.bump("absint_pinned", p.count(StaticVerdict::PinF64) as u64);
         metrics.bump("absint_undecided", p.count(StaticVerdict::Undecided) as u64);
+        metrics.bump("absint_analyses", p.analyses);
+        metrics.bump("absint_steps", p.steps);
         if p.joint_fallback {
             metrics.bump("absint_joint_fallback", 1);
         }

@@ -186,7 +186,9 @@ struct Walker<'a> {
     depth: usize,
     vars: BTreeMap<(usize, usize), Acc>,
     records: BTreeMap<String, Acc>,
-    cancels: BTreeMap<String, f64>,
+    /// Worst cancellation amplification per `(proc, line)` site; named
+    /// `proc:line` only when the report is built.
+    cancels: HashMap<(usize, u32), f64>,
     cache: HashMap<CacheKey, CacheOut>,
     cur_proc: usize,
     cur_line: u32,
@@ -208,7 +210,7 @@ pub fn analyze_ir(ir: &ProgramIR, max_steps: u64) -> BoundReport {
         depth: 0,
         vars: BTreeMap::new(),
         records: BTreeMap::new(),
-        cancels: BTreeMap::new(),
+        cancels: HashMap::new(),
         cache: HashMap::new(),
         cur_proc: GLOBAL_SCOPE,
         cur_line: 0,
@@ -273,10 +275,12 @@ impl<'a> Walker<'a> {
         if self.mute > 0 {
             return;
         }
-        self.records
-            .entry(key.to_string())
-            .and_modify(|a| a.update(v))
-            .or_insert_with(|| Acc::of(v));
+        match self.records.get_mut(key) {
+            Some(a) => a.update(v),
+            None => {
+                self.records.insert(key.to_string(), Acc::of(v));
+            }
+        }
     }
 
     fn note_cancellation(&mut self, a: &Interval, b: &Interval) {
@@ -285,8 +289,10 @@ impl<'a> Walker<'a> {
         }
         let k = cancellation_kappa(a, b);
         if k >= CANCEL_KAPPA && (a.max_abs() > 0.0 || b.max_abs() > 0.0) {
-            let site = format!("{}:{}", self.scope_name(self.cur_proc), self.cur_line);
-            let e = self.cancels.entry(site).or_insert(0.0);
+            let e = self
+                .cancels
+                .entry((self.cur_proc, self.cur_line))
+                .or_insert(0.0);
             *e = e.max(k);
         }
     }
@@ -334,8 +340,13 @@ impl<'a> Walker<'a> {
             .chain(records.iter())
             .map(|v| v.rel_err)
             .fold(0.0_f64, f64::max);
-        let mut cancellations: Vec<CancelSite> = self
-            .cancels
+        let mut sites: BTreeMap<String, f64> = BTreeMap::new();
+        for (&(proc, line), &kappa) in &self.cancels {
+            let site = format!("{}:{}", self.scope_name(proc), line);
+            let e = sites.entry(site).or_insert(0.0);
+            *e = e.max(kappa);
+        }
+        let mut cancellations: Vec<CancelSite> = sites
             .into_iter()
             .map(|(site, kappa)| CancelSite { site, kappa })
             .collect();
@@ -371,8 +382,8 @@ impl<'a> Walker<'a> {
                     let (dims, len) = self.eval_dims(dims, &mut st)?;
                     st.globals[i] = fresh_array(decl, dims, len);
                 }
-            } else if let Some(init) = decl.init.clone() {
-                let v = self.eval(&init, &mut st)?;
+            } else if let Some(init) = &decl.init {
+                let v = self.eval(init, &mut st)?;
                 self.assign_scalar(SlotRef::Global(i), v, &mut st, true)?;
             }
         }
@@ -388,7 +399,8 @@ impl<'a> Walker<'a> {
             // The machine's recursion guard errors here: no further stores.
             return Ok(Some(AV::Fp(AbsVal::top())));
         }
-        let proc = &self.ir.procs[proc_id];
+        let ir = self.ir;
+        let proc = &ir.procs[proc_id];
 
         // Bind arguments in order (argument expressions have effects).
         let mut locals: Vec<ASlot> = proc.slots.iter().map(default_slot).collect();
@@ -469,9 +481,9 @@ impl<'a> Walker<'a> {
                         }
                     }
                 }
-            } else if let Some(init) = decl.init.clone() {
+            } else if let Some(init) = &decl.init {
                 // Bindings and local inits are not `note_var`ed.
-                match self.eval(&init, &mut callee) {
+                match self.eval(init, &mut callee) {
                     Ok(v) => callee.locals[i] = bind_scalar(decl, v),
                     Err(a) => {
                         init_abort = Some(a);
@@ -481,7 +493,8 @@ impl<'a> Walker<'a> {
             }
         }
 
-        let body = proc.body.clone();
+        // The pre-call globals, restored when the callee never returns.
+        let entry_globals = callee.globals.clone();
         let result = match init_abort {
             Some(a) => Err(a),
             None => {
@@ -489,7 +502,7 @@ impl<'a> Walker<'a> {
                     ret: None,
                     loops: Vec::new(),
                 };
-                self.exec_block(&body, callee.clone(), &mut env)
+                self.exec_block(&proc.body, callee, &mut env)
                     .map(|fall| join_opt(fall, env.ret))
             }
         };
@@ -500,17 +513,16 @@ impl<'a> Walker<'a> {
             Ok(e) => e,
             Err(a) => {
                 // Restore the caller's globals before propagating.
-                st.globals = callee.globals;
+                st.globals = entry_globals;
                 return Err(a);
             }
         };
 
-        let proc = &self.ir.procs[proc_id];
         let (ret, out) = match exit {
             None => {
                 // All paths stop or trap: the caller's continuation is
                 // concretely unreachable. Restore pre-call globals.
-                st.globals = callee.globals;
+                st.globals = entry_globals;
                 (Some(AV::Fp(AbsVal::top())), None)
             }
             Some(ex) => {
@@ -787,9 +799,9 @@ impl<'a> Walker<'a> {
             IStmt::Allocate { slot, dims, line } => {
                 self.cur_line = *line;
                 let (dims, len) = self.eval_dims(dims, &mut st)?;
-                let decl = self.slot_decl(*slot).clone();
+                let decl = self.slot_decl(*slot);
                 let stor = self.resolve_arr(&st, *slot);
-                *arr_mut(&mut st, stor) = fresh_array(&decl, dims, len);
+                *arr_mut(&mut st, stor) = fresh_array(decl, dims, len);
                 Ok(Some(st))
             }
             IStmt::Deallocate { .. } => Ok(Some(st)),
@@ -807,9 +819,10 @@ impl<'a> Walker<'a> {
         mut st: State,
         env: &mut Env,
     ) -> W<Option<State>> {
+        // Each iteration consumes the state it runs on: on an abort the
+        // caller restarts from its own pre-loop snapshot.
         let mut exit_acc: Option<State> = None;
         let mut i = s0;
-        let mut dead = false;
         loop {
             if (sp > 0 && i > e0) || (sp < 0 && i < e0) {
                 break;
@@ -817,21 +830,15 @@ impl<'a> Walker<'a> {
             self.bump(2)?;
             self.set_int(var, Interval::point(i as f64), &mut st);
             env.loops.push(LoopAcc::default());
-            let fall = self.exec_block(body, st.clone(), env);
+            let fall = self.exec_block(body, st, env);
             let la = env.loops.pop().unwrap_or_default();
             let fall = fall?;
             exit_acc = join_opt(exit_acc, la.exit);
             match join_opt(fall, la.cyc) {
                 Some(next) => st = next,
-                None => {
-                    dead = true;
-                    break;
-                }
+                None => return Ok(exit_acc),
             }
             i += sp;
-        }
-        if dead {
-            return Ok(exit_acc);
         }
         self.set_int(var, Interval::point(i as f64), &mut st);
         Ok(join_opt(Some(st), exit_acc))
@@ -930,13 +937,11 @@ impl<'a> Walker<'a> {
                     IArg::Value(e) => self.eval(e, st)?,
                     _ => AV::Fp(AbsVal::top()),
                 };
-                let key = name_arg.unwrap_or("unnamed").to_string();
                 let fv = to_fp(&v, None);
-                self.record_record(&key, &fv);
+                self.record_record(name_arg.unwrap_or("unnamed"), &fv);
                 Ok(())
             }
             IntrinsicSub::ProseRecordArray => {
-                let key = name_arg.unwrap_or("unnamed").to_string();
                 let v = match &args[0] {
                     IArg::ArrayRef(r) => {
                         let stor = self.resolve_arr(st, *r);
@@ -947,7 +952,7 @@ impl<'a> Walker<'a> {
                     }
                     _ => AbsVal::top(),
                 };
-                self.record_record(&key, &v);
+                self.record_record(name_arg.unwrap_or("unnamed"), &v);
                 Ok(())
             }
             IntrinsicSub::MpiAllreduceSum | IntrinsicSub::MpiAllreduceMax => {
@@ -966,10 +971,11 @@ impl<'a> Walker<'a> {
 
     // ---- stores and loads -----------------------------------------------
 
-    fn slot_decl(&self, r: SlotRef) -> &crate::ir::SlotDecl {
+    fn slot_decl(&self, r: SlotRef) -> &'a crate::ir::SlotDecl {
+        let ir = self.ir;
         match r {
-            SlotRef::Local(i) => &self.ir.procs[self.cur_proc].slots[i],
-            SlotRef::Global(i) => &self.ir.globals[i],
+            SlotRef::Local(i) => &ir.procs[self.cur_proc].slots[i],
+            SlotRef::Global(i) => &ir.globals[i],
         }
     }
 
@@ -1044,10 +1050,10 @@ impl<'a> Walker<'a> {
         match lv {
             ILValue::Scalar(r) => {
                 let slot = match r {
-                    SlotRef::Local(i) => st.locals[*i].clone(),
-                    SlotRef::Global(i) => st.globals[*i].clone(),
+                    SlotRef::Local(i) => &st.locals[*i],
+                    SlotRef::Global(i) => &st.globals[*i],
                 };
-                Ok(slot_value(st, &slot))
+                Ok(slot_value(st, slot))
             }
             ILValue::Elem { slot, indices } => {
                 for ix in indices {
@@ -1111,10 +1117,10 @@ impl<'a> Walker<'a> {
             IExpr::StrLit(_) => AV::Str,
             IExpr::LoadScalar(r) => {
                 let slot = match r {
-                    SlotRef::Local(i) => st.locals[*i].clone(),
-                    SlotRef::Global(i) => st.globals[*i].clone(),
+                    SlotRef::Local(i) => &st.locals[*i],
+                    SlotRef::Global(i) => &st.globals[*i],
                 };
-                slot_value(st, &slot)
+                slot_value(st, slot)
             }
             IExpr::LoadElem { slot, indices } => {
                 for ix in indices {
@@ -1139,9 +1145,9 @@ impl<'a> Walker<'a> {
                 let stor = self.resolve_arr(st, *slot);
                 let (dims, len) = match arr_mut(st, stor) {
                     ASlot::FpArr { dims, len, .. } | ASlot::IntArr { dims, len, .. } => {
-                        (dims.clone(), *len)
+                        (dims.as_slice(), *len)
                     }
-                    _ => (Vec::new(), Interval::new(0.0, f64::INFINITY)),
+                    _ => (&[][..], Interval::new(0.0, f64::INFINITY)),
                 };
                 match d {
                     None => AV::Int(len),
@@ -1151,7 +1157,7 @@ impl<'a> Walker<'a> {
                         }
                         _ => {
                             let mut hull: Option<Interval> = None;
-                            for e in &dims {
+                            for e in dims {
                                 hull = Some(match hull {
                                     None => *e,
                                     Some(h) => h.join(e),
@@ -1540,30 +1546,38 @@ fn havoc_state(st: &mut State) {
 fn join_opt(a: Option<State>, b: Option<State>) -> Option<State> {
     match (a, b) {
         (None, x) | (x, None) => x,
-        (Some(x), Some(y)) => Some(join_state(&x, &y)),
+        (Some(mut x), Some(y)) => {
+            join_into(&mut x, &y);
+            Some(x)
+        }
     }
 }
 
 fn join_state(a: &State, b: &State) -> State {
-    State {
-        locals: join_slots(&a.locals, &b.locals),
-        globals: join_slots(&a.globals, &b.globals),
+    let mut joined = a.clone();
+    join_into(&mut joined, b);
+    joined
+}
+
+/// `a ← a ⊔ b`, in place.
+fn join_into(a: &mut State, b: &State) {
+    join_slots_into(&mut a.locals, &b.locals);
+    join_slots_into(&mut a.globals, &b.globals);
+}
+
+fn join_slots_into(a: &mut Vec<ASlot>, b: &[ASlot]) {
+    a.truncate(b.len());
+    for (x, y) in a.iter_mut().zip(b) {
+        join_slot_into(x, y);
     }
 }
 
-fn join_slots(a: &[ASlot], b: &[ASlot]) -> Vec<ASlot> {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| join_slot(x, y))
-        .collect()
-}
-
-fn join_slot(a: &ASlot, b: &ASlot) -> ASlot {
+/// `a ← a ⊔ b` for one slot. Mismatched shapes keep `a`'s shape, havoced.
+fn join_slot_into(a: &mut ASlot, b: &ASlot) {
     match (a, b) {
-        (ASlot::Fp(x), ASlot::Fp(y)) => ASlot::Fp(x.join(y)),
-        (ASlot::Int(x), ASlot::Int(y)) => ASlot::Int(x.join(y)),
-        (ASlot::Bool, ASlot::Bool) => ASlot::Bool,
-        (ASlot::Str, ASlot::Str) => ASlot::Str,
+        (ASlot::Fp(x), ASlot::Fp(y)) => *x = x.join(y),
+        (ASlot::Int(x), ASlot::Int(y)) => *x = x.join(y),
+        (ASlot::Bool, ASlot::Bool) | (ASlot::Str, ASlot::Str) => {}
         (
             ASlot::FpArr {
                 elem: xe,
@@ -1577,12 +1591,13 @@ fn join_slot(a: &ASlot, b: &ASlot) -> ASlot {
                 len: yl,
                 prec: yp,
             },
-        ) if xp == yp && xd.len() == yd.len() => ASlot::FpArr {
-            elem: xe.join(ye),
-            dims: xd.iter().zip(yd.iter()).map(|(p, q)| p.join(q)).collect(),
-            len: xl.join(yl),
-            prec: *xp,
-        },
+        ) if *xp == *yp && xd.len() == yd.len() => {
+            *xe = xe.join(ye);
+            for (p, q) in xd.iter_mut().zip(yd) {
+                *p = p.join(q);
+            }
+            *xl = xl.join(yl);
+        }
         (
             ASlot::IntArr {
                 elem: xe,
@@ -1594,17 +1609,15 @@ fn join_slot(a: &ASlot, b: &ASlot) -> ASlot {
                 dims: yd,
                 len: yl,
             },
-        ) if xd.len() == yd.len() => ASlot::IntArr {
-            elem: xe.join(ye),
-            dims: xd.iter().zip(yd.iter()).map(|(p, q)| p.join(q)).collect(),
-            len: xl.join(yl),
-        },
-        (ASlot::AliasGlobal(x), ASlot::AliasGlobal(y)) if x == y => ASlot::AliasGlobal(*x),
-        (x, _) => {
-            let mut h = x.clone();
-            havoc_slot(&mut h);
-            h
+        ) if xd.len() == yd.len() => {
+            *xe = xe.join(ye);
+            for (p, q) in xd.iter_mut().zip(yd) {
+                *p = p.join(q);
+            }
+            *xl = xl.join(yl);
         }
+        (ASlot::AliasGlobal(x), ASlot::AliasGlobal(y)) if *x == *y => {}
+        (x, _) => havoc_slot(x),
     }
 }
 
@@ -1798,7 +1811,11 @@ fn widen_slots(next: &[ASlot], prev: &[ASlot]) -> Vec<ASlot> {
                     .collect(),
                 len: widen_interval(xl, yl),
             },
-            (n, p) => join_slot(n, p),
+            (n, p) => {
+                let mut joined = n.clone();
+                join_slot_into(&mut joined, p);
+                joined
+            }
         })
         .collect()
 }

@@ -555,10 +555,13 @@ fn main() -> ExitCode {
     }
     if args.absint {
         println!(
-            "static pre-pass: {} pre-demoted, {} pinned f64, {} undecided{}",
+            "static pre-pass: {} pre-demoted, {} pinned f64, {} undecided, \
+             absint_analyses {}, absint_steps {}{}",
             outcome.metrics.get("absint_predemoted"),
             outcome.metrics.get("absint_pinned"),
             outcome.metrics.get("absint_undecided"),
+            outcome.metrics.get("absint_analyses"),
+            outcome.metrics.get("absint_steps"),
             if outcome.metrics.get("absint_joint_fallback") > 0 {
                 " (joint re-check dropped the demotion set)"
             } else {

@@ -79,7 +79,7 @@ pub mod signals {
         }
     }
 
-    /// The most recent latched signal, if any (not cleared).
+    /// The most recent latched signal, if any (cleared only by [`clear`]).
     pub fn pending() -> Option<i32> {
         match PENDING.load(Ordering::SeqCst) {
             0 => None,
@@ -90,6 +90,13 @@ pub mod signals {
     /// Latch a signal from process context (tests, in-process shutdown).
     pub fn raise(signum: i32) {
         PENDING.store(signum as usize, Ordering::SeqCst);
+    }
+
+    /// Reset the latch. A [`super::Server`] that has finished draining
+    /// consumes the signal it drained for, so a later in-process server
+    /// starts with a clear latch.
+    pub fn clear() {
+        PENDING.store(0, Ordering::SeqCst);
     }
 }
 
@@ -249,7 +256,8 @@ impl Server {
 
     /// Serve until SIGINT/SIGTERM, then drain: stop accepting, give
     /// in-flight jobs `drain_ms` to finish, checkpoint the rest back to
-    /// `queued`, flush every WAL, and return cleanly.
+    /// `queued`, flush every WAL, clear the signal latch, and return
+    /// cleanly.
     pub fn run(mut self) -> io::Result<()> {
         while signals::pending().is_none() {
             match self.listener.accept() {
@@ -288,6 +296,7 @@ impl Server {
         for h in self.runner_handles.drain(..) {
             let _ = h.join();
         }
+        signals::clear();
         eprintln!("[prose-served] drained; exiting");
         Ok(())
     }
@@ -853,5 +862,43 @@ mod tests {
             assert_ne!(status_text(code), "Internal Server Error", "{code}");
         }
         assert_eq!(status_text(500), "Internal Server Error");
+    }
+
+    fn healthz(addr: SocketAddr) -> io::Result<String> {
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n")?;
+        let mut response = String::new();
+        stream.read_to_string(&mut response)?;
+        Ok(response)
+    }
+
+    /// The signal latch is process-wide, so a drained server must clear it:
+    /// otherwise every later in-process server would exit at once.
+    #[test]
+    fn in_process_servers_run_one_after_another() {
+        for round in 0..2 {
+            let jobs_dir = std::env::temp_dir()
+                .join(format!("prose-serve-latch-{}-{round}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&jobs_dir);
+            let server = Server::new(ServeConfig {
+                jobs_dir: jobs_dir.clone(),
+                drain_ms: 50,
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            let addr = server.local_addr().unwrap();
+            let serving = std::thread::spawn(move || server.run());
+            let response = healthz(addr).unwrap();
+            assert!(
+                response.starts_with("HTTP/1.1 200"),
+                "round {round}: {response}"
+            );
+            assert!(!serving.is_finished(), "round {round}: server exited early");
+            signals::raise(signals::SIGTERM);
+            serving.join().unwrap().unwrap();
+            assert_eq!(signals::pending(), None, "round {round}: latch cleared");
+            let _ = std::fs::remove_dir_all(&jobs_dir);
+        }
     }
 }

@@ -10,7 +10,7 @@
 
 use prose::core::tuner::{tune, PerfScope, SearchGranularity, TuningOutcome};
 use prose::core::{certify_config, crosscheck_journal, run_prepass, StaticVerdict};
-use prose::models::{funarc, mpas, ModelSize};
+use prose::models::{funarc, guardrail, mpas, ModelSize};
 use prose::trace::{Journal, TrialRecord};
 use std::path::PathBuf;
 
@@ -33,10 +33,21 @@ impl Run {
 }
 
 fn run(model: &prose::core::tuner::LoadedModel, scope: PerfScope, absint: bool, tag: &str) -> Run {
+    run_on(model, scope, absint, 1, tag)
+}
+
+fn run_on(
+    model: &prose::core::tuner::LoadedModel,
+    scope: PerfScope,
+    absint: bool,
+    workers: usize,
+    tag: &str,
+) -> Run {
     let journal = tmp_journal(tag);
     let mut task = model.task(scope, 7).unwrap();
     task.granularity = SearchGranularity::Grouped;
     task.absint = absint;
+    task.workers = workers;
     task.journal = Some(journal.clone());
     let outcome = tune(&task).unwrap();
     let records = Journal::load(&journal).unwrap();
@@ -182,4 +193,79 @@ fn final_config_certificate_has_no_static_bound_violations() {
         violating.is_empty(),
         "journaled shadow evidence contradicts the certificate: {violating:?}"
     );
+}
+
+/// The pre-pass fans its independent analyses out on the worker pool. The
+/// report — verdicts, stamp, budget, joint fallback, and the work counters
+/// — must not depend on the pool width.
+#[test]
+fn prepass_report_is_identical_at_every_pool_width() {
+    let models = [
+        (funarc::funarc(ModelSize::Small), PerfScope::WholeModel),
+        (mpas::mpas_a(ModelSize::Small), PerfScope::Hotspot),
+        (
+            guardrail::guardrail_smoke(ModelSize::Small),
+            PerfScope::Hotspot,
+        ),
+    ];
+    for (spec, scope) in models {
+        let model = spec.load().unwrap();
+        let mut task = model.task(scope, 7).unwrap();
+        task.absint = true;
+        let reports: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                task.workers = workers;
+                run_prepass(&task)
+            })
+            .collect();
+        let serial = &reports[0];
+        assert!(
+            serial.analyses > task.atoms.len() as u64,
+            "{}: the declared map and every atom are analyzed: {}",
+            spec.name,
+            serial.analyses
+        );
+        assert!(serial.steps > 0, "{}: steps are counted", spec.name);
+        for (pooled, workers) in reports[1..].iter().zip([2, 4]) {
+            assert_eq!(pooled, serial, "{} at {workers} workers", spec.name);
+        }
+    }
+}
+
+/// Strip what legitimately varies with scheduling: wall clock, per-stage
+/// timings, the pool-width stamp, worker provenance, and the CRC over them.
+fn normalized(mut r: TrialRecord) -> TrialRecord {
+    r.wall_ms = 0.0;
+    r.stages.clear();
+    r.workers = 0;
+    r.worker = None;
+    r.crc = None;
+    r
+}
+
+/// A grouped absint tune journals the same trials, in the same order, with
+/// the same static-verdict stamps and work counters, at 1 and 2 workers.
+#[test]
+fn absint_tune_journals_match_across_pool_widths() {
+    let model = mpas::mpas_a(ModelSize::Small).load().unwrap();
+    let serial = run_on(&model, PerfScope::Hotspot, true, 1, "mpas-w1");
+    let pooled = run_on(&model, PerfScope::Hotspot, true, 2, "mpas-w2");
+    assert_eq!(
+        serial.outcome.search.final_config,
+        pooled.outcome.search.final_config
+    );
+    for key in ["absint_analyses", "absint_steps", "absint_predemoted"] {
+        assert!(serial.outcome.metrics.get(key) > 0, "{key} is counted");
+        assert_eq!(
+            serial.outcome.metrics.get(key),
+            pooled.outcome.metrics.get(key),
+            "{key}"
+        );
+    }
+    assert_eq!(serial.records.len(), pooled.records.len());
+    for (a, b) in serial.records.into_iter().zip(pooled.records) {
+        assert_eq!((a.workers, b.workers), (1, 2), "the width is stamped");
+        assert_eq!(normalized(a), normalized(b));
+    }
 }
